@@ -80,20 +80,15 @@ void RunAnalysisCost() {
   counters.emplace_back("inds", static_cast<double>(graph->num_inds()));
   counters.emplace_back("fds", static_cast<double>(graph->num_fds()));
   counters.emplace_back("edges", static_cast<double>(graph->edges().size()));
-  counters.emplace_back("components",
-                        static_cast<double>(graph->components().size()));
-  counters.emplace_back("frontier_layers",
-                        static_cast<double>(graph->frontiers().size()));
   counters.emplace_back("acyclic",
                         graph->IndSubgraphAcyclic() ? 1.0 : 0.0);
   counters.emplace_back("fingerprint",
                         FingerprintCounter(graph->Fingerprint()));
   PrintJsonRecord("reliance_analysis_wide", best_ms, counters);
   std::printf(
-      "wide Σ analysis: %zu INDs, %zu edges, %zu components, %zu frontier "
-      "layers | best of %d: %.3f ms (report-only; sub-ms expected)\n",
-      graph->num_inds(), graph->edges().size(), graph->components().size(),
-      graph->frontiers().size(), kReps, best_ms);
+      "wide Σ analysis: %zu INDs, %zu edges | best of %d: %.3f ms "
+      "(report-only; sub-ms expected)\n",
+      graph->num_inds(), graph->edges().size(), kReps, best_ms);
 }
 
 // --- Part 2: the acyclic-fragment decidability gate --------------------------

@@ -14,11 +14,12 @@
 //   * pooled: per batch, Submit every task (Borrow; the bench frame blocks)
 //     and Get every future, on an executor_threads = 8 engine.
 //
-// Exit code enforces the acceptance bar: verdicts must be identical
-// task-for-task across modes, and pooled throughput must be >= 1.0x legacy
-// at 8 workers on a >= 4-core host (honest reduced bars below that, same
-// policy as bench_checkmany_scaling). Each mode runs twice on a fresh
-// engine, alternating, and keeps its faster run, damping CI neighbor noise.
+// Exit code enforces the acceptance bar: every task must decide (errors ==
+// 0), verdicts must be identical task-for-task across modes, and pooled
+// throughput must be >= 1.0x legacy at 8 workers on a >= 4-core host
+// (honest reduced bars below that, same policy as bench_checkmany_scaling).
+// Each mode runs twice on a fresh engine, alternating, and keeps its faster
+// run, damping CI neighbor noise.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -43,12 +44,11 @@ constexpr size_t kBatches = 48;
 constexpr size_t kTasksPerBatch = 8;
 constexpr size_t kWorkers = 8;
 
-// Both modes run under the same tightened budgets: random tasks over a
-// 4-IND key-based Σ can blow the chase up (the Lemma 5 bound is far beyond
-// any practical prefix), and this bench measures scheduling, not chase
-// depth. A budget-tripped task yields the same kResourceExhausted in both
-// modes — verdict parity still holds task-for-task — while keeping every
-// task bounded to milliseconds.
+// Both modes run under the same bounded budgets. The workload's Σ keeps
+// its IND graph acyclic (BuildWorkload), so every chase saturates within a
+// few levels and these limits are never the reason a task stops; a task
+// that did trip one would be counted in `errors`, which the exit code
+// gates at zero.
 EngineConfig BenchConfig() {
   EngineConfig config;
   config.containment.limits.max_level = 8;
@@ -89,13 +89,23 @@ Workload BuildWorkload() {
   cp.min_arity = 2;
   cp.max_arity = 3;
   w.catalog = std::make_unique<Catalog>(RandomCatalog(rng, cp));
-  // Key-based Σ: every task decidable by the Lemma 5 bounded chase, and
-  // every batch distinct (no cross-batch cache shortcuts) — the bench
+  // Key-based Σ drawn as cqbench's kKeyBasedAcyclic: the FDs plus every
+  // IND, in draw order, that keeps the IND graph acyclic. The chase of any
+  // query then saturates, so every task decides within the budgets above.
+  // Every batch is distinct (no cross-batch cache shortcuts) — the bench
   // measures scheduling, not memoization.
   RandomKeyBasedParams kp;
   kp.key_size = 1;
   kp.num_inds = 4;
-  w.deps = RandomKeyBasedDeps(rng, *w.catalog, kp);
+  const DependencySet drawn = RandomKeyBasedDeps(rng, *w.catalog, kp);
+  for (const FunctionalDependency& fd : drawn.fds()) {
+    (void)w.deps.AddFd(*w.catalog, fd);
+  }
+  for (const InclusionDependency& ind : drawn.inds()) {
+    DependencySet trial = w.deps;
+    (void)trial.AddInd(*w.catalog, ind);
+    if (trial.IndGraphAcyclic(*w.catalog)) w.deps = std::move(trial);
+  }
 
   const size_t total = kBatches * kTasksPerBatch;
   w.lhs.reserve(total);
@@ -243,8 +253,8 @@ int main() {
   const double target = cores >= 4 ? 1.0 : cores >= 2 ? 0.9 : 0.7;
 
   std::printf(
-      "%zu batches x %zu tasks, key-based FD/IND Sigma, %zu workers, %u "
-      "usable core(s)\n",
+      "%zu batches x %zu tasks, acyclic key-based FD/IND Sigma, %zu workers, "
+      "%u usable core(s)\n",
       kBatches, kTasksPerBatch, kWorkers, cores);
   std::printf("  legacy (8 threads per batch): %9.3f ms\n", legacy.ms);
   std::printf("  pooled (persistent executor): %9.3f ms  (speedup %5.2fx, "
@@ -274,6 +284,11 @@ int main() {
 
   if (mismatches > 0) {
     std::fprintf(stderr, "FAIL: verdicts diverge between modes\n");
+    return 1;
+  }
+  if (errors > 0) {
+    std::fprintf(stderr, "FAIL: %zu of %zu tasks ended without a verdict\n",
+                 errors, pooled.ok.size());
     return 1;
   }
   if (speedup < target) {

@@ -17,12 +17,7 @@
 #     per-call thread fan-out or verdicts diverge between the two modes;
 #     bench_chase_bulk if the set-at-a-time chase core diverges from the
 #     scalar oracle (prefix, steps, or terminal status) or misses the >= 2x
-#     speedup bound on the wide-Σ workload; bench_chase_parallel if the
-#     parallel chase core diverges from the scalar oracle or the bulk core
-#     on the same wide-Σ workload, or (on hosts with >= 4 hardware threads)
-#     misses the >= 1.5x single-request speedup over the bulk core — on
-#     narrower hosts the speedup is report-only, parity stays enforced;
-#     bench_reliance if any acyclic
+#     speedup bound on the wide-Σ workload; bench_reliance if any acyclic
 #     FD+IND task fails to decide with allow_semidecision=false (the
 #     reliance analyzer's kAcyclicInd fragment must stay a real decision
 #     procedure, not a semi-decision in disguise).
@@ -53,10 +48,9 @@
 #     corrupted input), so the parsing code runs under ASan+UBSan from day
 #     one; -fno-sanitize-recover turns any UB into a non-zero exit.
 #  8. tsan: ThreadSanitizer over the concurrency-bearing binaries (sharded
-#     symbol arena, shared chase prefixes, parallel witness-class sweeps on
-#     the work-stealing pool, CheckMany fan-out, executor fork/join,
-#     write-behind store/tier flush, thread-per-connection authority
-#     server): any data race fails CI.
+#     symbol arena, shared chase prefixes, the work-stealing pool,
+#     CheckMany fan-out, write-behind store/tier flush, thread-per-connection
+#     authority server): any data race fails CI.
 #  9. static-analysis: clang-tidy (profile in .clang-tidy: bugprone-*,
 #     performance-*, concurrency-*, plus two zero-cost style checks) over
 #     every translation unit in compile_commands.json, warnings-as-errors.
@@ -121,7 +115,6 @@ perf_gates() {
   ./build/bench_checkmany_scaling
   ./build/bench_submit_throughput
   ./build/bench_chase_bulk
-  ./build/bench_chase_parallel
   ./build/bench_reliance
   # Σ-lineage survival: a 1-IND edit on a warm wide-Σ store must invalidate
   # O(touched) verdicts and every survivor must match a fresh-engine oracle.

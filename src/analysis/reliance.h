@@ -21,11 +21,10 @@
 //    which is why FD phases iterate to fixpoint).
 //
 // The FD interference edges are relation-level, like VLog's predicate
-// overlap. They are *advisory* (scheduler consumers must still serialize
-// merges globally, because a merge substitutes a term everywhere it occurs,
-// and level-0 query conjuncts may share variables across relations — see
-// ROADMAP's parallelism item). The correctness-bearing consumers below read
-// only the IND->IND positive subgraph, which is exact.
+// overlap. They are *advisory*: a merge substitutes a term everywhere it
+// occurs, and level-0 query conjuncts may share variables across relations,
+// so a merge can reach further than these edges say. The correctness-bearing
+// consumers below read only the IND->IND positive subgraph, which is exact.
 //
 // Derived artifacts:
 //
@@ -39,11 +38,6 @@
 //    FDs present (FD merges rewrite facts in place and only ever *lower*
 //    ids/levels via dedupe — they never extend an ancestry chain). This is
 //    the depth SigmaClass::kAcyclicInd dispatches on.
-//  * SCC condensation with per-component longest-path depth and the frontier
-//    layering frontiers(): layer d holds every component at depth d, i.e.
-//    all of whose predecessors sit in layers < d. Components within one
-//    layer share no reliance in either direction — the independent work
-//    sets a future intra-chase scheduler executes concurrently.
 //  * ReachableInds(): the closure of "which INDs can ever fire" from the
 //    relations present in an initial query, used by the bulk chase core to
 //    prune dead witness groups (chase/bulk.cc). An IND fires only on a fact
@@ -114,31 +108,6 @@ class SigmaGraph {
   std::optional<uint32_t> IndCriticalPath() const { return ind_depth_; }
   bool IndSubgraphAcyclic() const { return ind_depth_.has_value(); }
 
-  // --- SCC condensation (the scheduler artifact) ---------------------------
-  struct Component {
-    std::vector<uint32_t> members;     // node ids, ascending
-    std::vector<uint32_t> successors;  // component ids, ascending, deduped
-    uint32_t depth = 0;  // longest path from any source component to this
-    bool cyclic = false;  // size > 1, or a self-edge on the single member
-  };
-  // Topological order: every edge goes from a lower component index to a
-  // higher one.
-  const std::vector<Component>& components() const { return components_; }
-  uint32_t ComponentOf(uint32_t node) const { return component_of_[node]; }
-  // frontiers()[d] lists the component ids at depth d. Components in one
-  // layer are pairwise reliance-independent; executing the layers in order
-  // respects every edge. This is the dependency-application DAG the parallel
-  // chase core schedules: ChaseCoreMode::kParallel maps each pending
-  // (level, IND) batch to its IND's component depth (BulkState::ind_depth)
-  // and launches one layer of witness-class tasks per depth, barrier
-  // between layers. Note the mapping is *scheduling* structure only —
-  // same-depth INDs may still share an rhs relation and thus a witness
-  // index, so the correctness unit inside a layer is the rhs-relation
-  // witness class, not the component (see chase/parallel.cc).
-  const std::vector<std::vector<uint32_t>>& frontiers() const {
-    return frontiers_;
-  }
-
   // --- Pruning (the bulk-core consumer) ------------------------------------
   // `relations_present[r]` marks relations with at least one initial fact.
   // Returns, per IND, whether it can ever become applicable: the fixpoint of
@@ -158,7 +127,6 @@ class SigmaGraph {
  private:
   void BuildEdges(const DependencySet& deps);
   void ComputeIndCriticalPath();
-  void Condense();
   uint64_t ComputeFingerprint() const;
 
   size_t num_inds_ = 0;
@@ -169,9 +137,6 @@ class SigmaGraph {
   std::vector<RelianceEdge> edges_;
   std::vector<std::vector<uint32_t>> adj_;
   std::optional<uint32_t> ind_depth_;
-  std::vector<Component> components_;
-  std::vector<uint32_t> component_of_;
-  std::vector<std::vector<uint32_t>> frontiers_;
   uint64_t fingerprint_ = 0;
 };
 

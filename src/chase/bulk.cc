@@ -39,7 +39,6 @@ void Chase::PrepareBulk() {
   b.applicable_mask.assign(catalog_->num_relations(), {});
   b.group_of_ind.assign(inds.size(), BulkState::kPrunedGroup);
   b.ind_has_fresh_columns.resize(inds.size());
-  b.ind_depth.assign(inds.size(), 0);
 
   // Reliance pruning: an IND fires only on a fact of its lhs relation, and
   // relations gain facts only from the initial conjuncts or as some fired
@@ -79,7 +78,6 @@ void Chase::PrepareBulk() {
     b.group_of_ind[k] = it->second;
     b.ind_has_fresh_columns[k] =
         ind.width() < catalog_->arity(ind.rhs_relation);
-    b.ind_depth[k] = graph.components()[graph.ComponentOf(k)].depth;
   }
   stats_.witness_groups_pruned = all_projections.size() - b.groups.size();
   b.groups_of_relation.assign(catalog_->num_relations(), {});

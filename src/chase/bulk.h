@@ -23,17 +23,6 @@
 // and flushes one columnar ColumnSegment per (level, IND) into the chase's
 // SegmentStore. See Chase::RunLevelBatch in bulk.cc for the equivalence
 // argument, and tests/chase_core_parity_test.cc for the differential proof.
-//
-// The parallel core (ChaseCoreMode::kParallel, chase/parallel.cc) shares
-// this state. Its id-reservation protocol: conjunct ids and NDV names are an
-// observable contract (certificates, resumability, ToString parity), and the
-// scalar id sequence interleaves INDs row-major across the frontier — so
-// contiguous per-(level, IND) ranges cannot reproduce it. Instead the
-// parallel sweep computes witness *decisions* concurrently (reads only),
-// then a sequential planning pass assigns every pair the exact id the
-// scalar core would, and only then does a sequential commit pass mint NDVs
-// and append state. Reservation here means "the full planned id sequence is
-// fixed before any observable mutation", not "a range per batch".
 #ifndef CQCHASE_CHASE_BULK_H_
 #define CQCHASE_CHASE_BULK_H_
 
@@ -52,9 +41,8 @@ namespace cqchase {
 // Per-chase working state built by Chase::PrepareBulk from the immutable Σ.
 // Rebuilt only when Σ-visible structure changes (never mid-chase); the
 // witness indexes inside are additionally rebuilt whenever witness_dirty is
-// set. Not thread-safe: the parallel core reads `groups` concurrently from
-// witness-class tasks but guarantees writes happen only between barriers on
-// the coordinating thread (chase/parallel.cc).
+// set. Not thread-safe: owned by one Chase, which is driven by one thread at a
+// time.
 struct BulkState {
   // group_of_ind value for INDs pruned at PrepareBulk time: statically
   // unreachable from the initial relations per the Σ reliance analysis
@@ -82,14 +70,6 @@ struct BulkState {
 
   // Per-IND: does the rhs have columns outside rhs_columns (fresh NDVs)?
   std::vector<bool> ind_has_fresh_columns;
-
-  // Per-IND: reliance-component depth from SigmaGraph::frontiers()
-  // (analysis/reliance.h), i.e. the longest acyclic component path feeding
-  // the IND. Meaningless (zero) for pruned INDs. The parallel core launches
-  // witness-class tasks depth-layer by depth-layer — depth is *scheduling*
-  // structure only; correctness comes from witness-class disjointness
-  // (chase/parallel.cc).
-  std::vector<uint32_t> ind_depth;
 
   // Set by Chase::SubstituteTerm: an FD merge mutated facts, so the groups
   // (and any in-flight frontier) are stale. The current sweep aborts and the

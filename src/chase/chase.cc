@@ -117,7 +117,7 @@ void Chase::DedupeConjuncts() {
 
 bool Chase::ApplyFd(const FunctionalDependency& fd, size_t a, size_t b) {
   // Every caller passes a reference into deps_->fds(), so the lineage index
-  // is pointer arithmetic — this is the single FD-merge site of all three
+  // is pointer arithmetic — this is the single FD-merge site of both
   // cores, which is what makes the used-FD capture core-independent.
   assert(&fd >= deps_->fds().data() &&
          &fd < deps_->fds().data() + deps_->fds().size());
@@ -399,9 +399,6 @@ Result<ChaseOutcome> Chase::ExpandToLevel(uint32_t level) {
   const uint32_t effective = std::min(level, limits_.max_level);
   if (limits_.core == ChaseCoreMode::kBulk) {
     return BulkExpandToLevel(effective);
-  }
-  if (limits_.core == ChaseCoreMode::kParallel) {
-    return ParallelExpandToLevel(effective);
   }
   while (true) {
     CQCHASE_RETURN_IF_ERROR(PollControl());

@@ -1,12 +1,17 @@
 // The ContainmentEngine's memoization layer: canonical keys are invariant
 // under variable renaming and conjunct permutation (and only then), verdict
 // caching hits on isomorphic re-asks and misses on Σ changes, chase prefixes
-// are resumed across Q' variations, and — the soundness contract — verdicts
-// with the cache on are identical to verdicts with it off, sequentially and
-// under CheckMany thread fan-out.
+// are resumed across Q' variations, an undecided outcome (budget trip or
+// deadline) is never cached or persisted, and — the soundness contract —
+// verdicts with the cache on are identical to verdicts with it off,
+// sequentially and under CheckMany thread fan-out.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
 #include <vector>
+
+#include <unistd.h>
 
 #include "base/rng.h"
 #include "base/string_util.h"
@@ -15,6 +20,7 @@
 #include "deps/deps_parser.h"
 #include "engine/canonical.h"
 #include "engine/engine.h"
+#include "engine/tier.h"
 #include "gen/generators.h"
 #include "gen/scenarios.h"
 
@@ -159,6 +165,95 @@ TEST_F(CacheTest, ExhaustedCachedChaseStillYieldsContainedVerdict) {
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_TRUE(second->report.contained);
   EXPECT_GE(engine.stats().chase_prefix_reuses, 1u);
+}
+
+// A fresh store directory under the test temp dir (leftovers of an earlier
+// run removed, so the store opens empty).
+std::string NewStoreDir(const std::string& name) {
+  const std::string dir = StrCat(::testing::TempDir(), "/cqchase_cache_", name);
+  for (const char* file :
+       {"/snapshot.cqvs", "/snapshot.cqvs.tmp", "/snapshot.cqvs.quarantine",
+        "/log.cqvl", "/log.cqvl.quarantine", "/LOCK"}) {
+    std::remove(StrCat(dir, file).c_str());
+  }
+  ::rmdir(dir.c_str());
+  return dir;
+}
+
+// Asserts that no ask so far was answered from, or written to, any tier.
+void ExpectNothingCachedOrPersisted(const ContainmentEngine& engine) {
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.store_hits, 0u);
+  EXPECT_EQ(stats.store_writes, 0u);
+  for (const VerdictTierStats& tier : engine.tier_stats()) {
+    SCOPED_TRACE(tier.name);
+    EXPECT_EQ(tier.hits, 0u);
+    EXPECT_EQ(tier.publishes, 0u);
+    EXPECT_EQ(tier.entries, 0u);
+  }
+}
+
+TEST_F(CacheTest, BudgetUndecidedOutcomeIsNeverCachedOrPersisted) {
+  // The same (q, q') asked twice over an LRU + local-store stack: a budget
+  // trip is "unknown", not a verdict, so the re-ask must chase again and
+  // trip again instead of being served kResourceExhausted from a tier.
+  DependencySet cyclic = *ParseDependencies(
+      catalog_, "R[2] <= R[1]\nR[2] <= S[1]\nS[2] <= R[1]");
+  ConjunctiveQuery q = Parse("ans(u) :- R(u, v), S(v, w)");
+  ConjunctiveQuery absent = Parse("ans(e) :- R(e, '9')");
+
+  EngineConfig config;
+  config.containment.limits.max_conjuncts = 6;
+  config.route_streaming_single_conjunct = false;  // force the chase route
+  config.tiers = {TierSpec::Lru(64),
+                  TierSpec::LocalStore(NewStoreDir("budget"))};
+  ContainmentEngine engine(&catalog_, &symbols_, config);
+  ASSERT_TRUE(engine.store_status().ok()) << engine.store_status();
+
+  for (int ask = 0; ask < 2; ++ask) {
+    SCOPED_TRACE(StrCat("ask ", ask));
+    Result<EngineVerdict> v = engine.Check(q, absent, cyclic);
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(engine.stats().cache_misses, static_cast<uint64_t>(ask + 1));
+    ExpectNothingCachedOrPersisted(engine);
+  }
+}
+
+TEST_F(CacheTest, DeadlineExceededOutcomeIsNeverCachedOrPersisted) {
+  // A general FD+IND Σ under the semi-decision: the chase of q branches
+  // without bound and never finds the absent constant, and the budgets are
+  // far beyond what a few milliseconds can reach, so every ask ends
+  // kDeadlineExceeded. Re-asking must not be served from a tier.
+  DependencySet general = *ParseDependencies(
+      catalog_, "R[2] <= R[1]\nR[2] <= S[1]\nS[2] <= R[1]\nR: 1 -> 2");
+  ConjunctiveQuery q = Parse("ans(u) :- R(u, v), S(v, w)");
+  ConjunctiveQuery absent = Parse("ans(e) :- R(e, '9')");
+
+  EngineConfig config;
+  config.containment.limits.max_level = 100000;
+  config.containment.limits.max_conjuncts = 50000000;
+  config.containment.limits.max_steps = 500000000;
+  config.route_streaming_single_conjunct = false;
+  config.tiers = {TierSpec::Lru(64),
+                  TierSpec::LocalStore(NewStoreDir("deadline"))};
+  ContainmentEngine engine(&catalog_, &symbols_, config);
+  ASSERT_TRUE(engine.store_status().ok()) << engine.store_status();
+
+  for (int ask = 0; ask < 2; ++ask) {
+    SCOPED_TRACE(StrCat("ask ", ask));
+    RequestOptions options;
+    options.allow_semidecision = true;
+    options.timeout = std::chrono::milliseconds(20);
+    Result<EngineOutcome> outcome =
+        engine.Submit(ContainmentRequest::Borrow(q, absent, general, options))
+            .Get();
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.status().code(), StatusCode::kDeadlineExceeded);
+    ExpectNothingCachedOrPersisted(engine);
+  }
+  EXPECT_EQ(engine.stats().deadline_expirations, 2u);
 }
 
 TEST_F(CacheTest, ClearCachesForgetsVerdicts) {
