@@ -13,9 +13,9 @@
 // acceptance bar), a reduced bar on 2-3 cores, and on a single-core host
 // (where no wall-clock speedup is physically possible) the gate degrades to
 // "8x oversubscription costs <= 1/0.75 of sequential", which still fails if
-// workers contend on a hot-path lock. Each worker count is measured
-// best-of-2 on a fresh engine to damp scheduler-timing spikes on starved
-// CI hosts (see the comment at the run sites).
+// workers contend on a hot-path lock. The gate reads the median speedup of
+// kTrials interleaved trials (see the comment at the run sites).
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -109,6 +109,12 @@ struct RunResult {
   EngineStats stats;
 };
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
 RunResult RunWith(const Workload& w, const std::vector<ContainmentTask>& tasks,
                   size_t workers) {
   EngineConfig config;
@@ -141,29 +147,45 @@ int main() {
     tasks.push_back(ContainmentTask{&w.lhs[i], &w.rhs[i], &w.deps});
   }
 
-  // Best-of-2 per worker count (fresh engine each run, alternating order):
-  // since CheckMany rides the persistent executor, a single oversubscribed
-  // run on a starved host can catch a scheduler-timing spike that the old
-  // spawn-and-join fan-out averaged away; the second sample damps exactly
-  // that noise without touching the gate itself.
-  RunResult run1 = RunWith(w, tasks, 1);
-  RunResult run4 = RunWith(w, tasks, 4);
-  RunResult run8 = RunWith(w, tasks, 8);
-  {
-    RunResult again1 = RunWith(w, tasks, 1);
-    if (again1.ms < run1.ms) run1 = std::move(again1);
-    RunResult again4 = RunWith(w, tasks, 4);
-    if (again4.ms < run4.ms) run4 = std::move(again4);
-    RunResult again8 = RunWith(w, tasks, 8);
-    if (again8.ms < run8.ms) run8 = std::move(again8);
+  // kTrials interleaved trials, each running 1, 4 and 8 workers back to back
+  // on fresh engines, so host-load drift hits every worker count of a trial
+  // alike; the gate reads the median of the per-trial speedups. A
+  // single-shot ratio decided pass or fail by one scheduler spike: on a
+  // 4-core host one run measured 1.9996x against re-runs of 2.27-2.57x.
+  // Five trials keep the run to a few seconds, and their median ignores up
+  // to two spiked trials.
+  constexpr int kTrials = 5;
+  std::vector<RunResult> runs1, runs4, runs8;
+  std::vector<double> ms1, ms4, ms8, speedups4, speedups8;
+  for (int t = 0; t < kTrials; ++t) {
+    runs1.push_back(RunWith(w, tasks, 1));
+    runs4.push_back(RunWith(w, tasks, 4));
+    runs8.push_back(RunWith(w, tasks, 8));
+    ms1.push_back(runs1.back().ms);
+    ms4.push_back(runs4.back().ms);
+    ms8.push_back(runs8.back().ms);
+    speedups4.push_back(ms4.back() > 0 ? ms1.back() / ms4.back() : 0.0);
+    speedups8.push_back(ms8.back() > 0 ? ms1.back() / ms8.back() : 0.0);
   }
 
+  // Every run of every trial must agree with the first sequential run.
+  const RunResult& run1 = runs1.front();
   size_t contained = 0;
   size_t errors = 0;
   size_t mismatches = 0;
   for (size_t i = 0; i < tasks.size(); ++i) {
     const bool ok1 = run1.verdicts[i].ok();
-    if (ok1 != run4.verdicts[i].ok() || ok1 != run8.verdicts[i].ok()) {
+    bool diverged = false;
+    for (const std::vector<RunResult>* runs : {&runs1, &runs4, &runs8}) {
+      for (const RunResult& r : *runs) {
+        if (r.verdicts[i].ok() != ok1 ||
+            (ok1 && r.verdicts[i]->report.contained !=
+                        run1.verdicts[i]->report.contained)) {
+          diverged = true;
+        }
+      }
+    }
+    if (diverged) {
       ++mismatches;
       continue;
     }
@@ -171,16 +193,11 @@ int main() {
       ++errors;
       continue;
     }
-    const bool c1 = run1.verdicts[i]->report.contained;
-    if (c1 != run4.verdicts[i]->report.contained ||
-        c1 != run8.verdicts[i]->report.contained) {
-      ++mismatches;
-    }
-    if (c1) ++contained;
+    if (run1.verdicts[i]->report.contained) ++contained;
   }
 
-  const double speedup4 = run4.ms > 0 ? run1.ms / run4.ms : 0.0;
-  const double speedup8 = run8.ms > 0 ? run1.ms / run8.ms : 0.0;
+  const double speedup4 = Median(speedups4);
+  const double speedup8 = Median(speedups8);
   const unsigned cores = UsableCores();
   // The acceptance bar needs hardware to scale onto; degrade honestly when
   // the host grants fewer cores rather than measure a fiction. On one core
@@ -189,13 +206,18 @@ int main() {
   // for scheduler noise.
   const double target = cores >= 4 ? 2.0 : cores >= 2 ? 1.3 : 0.6;
 
-  std::printf("%zu tasks, mixed FD/IND (key-based) Sigma, %u usable core(s)\n",
-              tasks.size(), cores);
-  std::printf("  1 worker : %9.3f ms  (%llu chases built)\n", run1.ms,
+  std::printf("%zu tasks, mixed FD/IND (key-based) Sigma, %u usable core(s), "
+              "medians of %d trials\n",
+              tasks.size(), cores, kTrials);
+  std::printf("  1 worker : %9.3f ms  (%llu chases built)\n", Median(ms1),
               static_cast<unsigned long long>(run1.stats.chases_built));
-  std::printf("  4 workers: %9.3f ms  (speedup %5.2fx)\n", run4.ms, speedup4);
-  std::printf("  8 workers: %9.3f ms  (speedup %5.2fx, target >= %.2fx)\n",
-              run8.ms, speedup8, target);
+  std::printf("  4 workers: %9.3f ms  (speedup %5.2fx)\n", Median(ms4),
+              speedup4);
+  std::printf("  8 workers: %9.3f ms  (speedup %5.2fx, target >= %.2fx; "
+              "trials %.2f-%.2fx)\n",
+              Median(ms8), speedup8, target,
+              *std::min_element(speedups8.begin(), speedups8.end()),
+              *std::max_element(speedups8.begin(), speedups8.end()));
   std::printf("  verdicts : %zu contained, %zu mismatches, %zu errors\n",
               contained, mismatches, errors);
   std::printf("  arena    : %llu NDVs minted, %llu block handoffs\n\n",
@@ -205,11 +227,16 @@ int main() {
 
   std::vector<std::pair<std::string, double>> counters = {
       {"tasks", static_cast<double>(tasks.size())},
-      {"ms_1", run1.ms},
-      {"ms_4", run4.ms},
-      {"ms_8", run8.ms},
+      {"trials", static_cast<double>(kTrials)},
+      {"ms_1", Median(ms1)},
+      {"ms_4", Median(ms4)},
+      {"ms_8", Median(ms8)},
       {"speedup_4v1", speedup4},
       {"speedup_8v1", speedup8},
+      {"speedup_8v1_min",
+       *std::min_element(speedups8.begin(), speedups8.end())},
+      {"speedup_8v1_max",
+       *std::max_element(speedups8.begin(), speedups8.end())},
       {"usable_cores", static_cast<double>(cores)},
       {"target", target},
       {"ndvs_minted", static_cast<double>(w.symbols->num_nondist_vars())},
@@ -220,13 +247,13 @@ int main() {
   // The 8-worker run's scheduler health: CheckMany batches now ride the
   // persistent executor, so its steal/queue counters are part of the
   // scaling story this bench records.
-  bench::AppendEngineCounters(run8.stats, counters);
+  bench::AppendEngineCounters(runs8.front().stats, counters);
   // The cache knobs are the EngineConfig defaults in all three runs (the
   // worker counts this bench varies are already in ms_1/ms_4/ms_8 and the
   // speedup series).
   bench::AppendEngineConfig(EngineConfig{}, counters);
-  bench::PrintJsonRecord("checkmany_scaling", run1.ms + run4.ms + run8.ms,
-                         counters);
+  bench::PrintJsonRecord("checkmany_scaling",
+                         Median(ms1) + Median(ms4) + Median(ms8), counters);
 
   if (mismatches > 0) {
     std::fprintf(stderr, "FAIL: verdicts diverge across worker counts\n");
@@ -234,8 +261,8 @@ int main() {
   }
   if (speedup8 < target) {
     std::fprintf(stderr,
-                 "FAIL: 8-worker speedup %.2fx below the %.2fx target for %u "
-                 "usable core(s)\n",
+                 "FAIL: median 8-worker speedup %.2fx below the %.2fx target "
+                 "for %u usable core(s)\n",
                  speedup8, target, cores);
     return 1;
   }

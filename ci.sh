@@ -200,7 +200,8 @@ tcp_gate() {
 # hot.
 ASAN_TESTS=(serialize_test store_test tier_test net_test engine_test
             engine_cache_test engine_dispatch_test chase_core_parity_test
-            reliance_test executor_test lineage_test delta_migration_test)
+            reliance_test executor_test lineage_test delta_migration_test
+            chase_target_test)
 asan_ubsan() {
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \
@@ -215,7 +216,8 @@ asan_ubsan() {
 TSAN_TESTS=(symbol_table_test chase_test chase_core_parity_test reliance_test
             engine_test engine_cache_test engine_dispatch_test
             engine_concurrency_test executor_test engine_submit_test
-            store_test tier_test net_test lineage_test delta_migration_test)
+            store_test tier_test net_test lineage_test delta_migration_test
+            chase_target_test)
 tsan() {
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g" \

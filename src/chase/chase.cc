@@ -395,11 +395,24 @@ Result<ChaseOutcome> Chase::ExpandToLevel(uint32_t level) {
   if (!initialized_) {
     return Status::FailedPrecondition("Chase::Init not called");
   }
+  // The step a resource limit trips on is already counted and marked
+  // considered, yet never performed. Resuming would skip it and could pass
+  // the prefix off as complete (even saturated), so the trip is replayed
+  // instead: under fixed limits the prefix can only stay partial.
+  if (!limit_status_.ok()) return limit_status_;
   if (outcome_ == ChaseOutcome::kEmptyQuery) return outcome_;
   const uint32_t effective = std::min(level, limits_.max_level);
-  if (limits_.core == ChaseCoreMode::kBulk) {
-    return BulkExpandToLevel(effective);
+  Result<ChaseOutcome> expanded = limits_.core == ChaseCoreMode::kBulk
+                                      ? BulkExpandToLevel(effective)
+                                      : ScalarExpandToLevel(effective);
+  if (!expanded.ok() &&
+      expanded.status().code() == StatusCode::kResourceExhausted) {
+    limit_status_ = expanded.status();
   }
+  return expanded;
+}
+
+Result<ChaseOutcome> Chase::ScalarExpandToLevel(uint32_t effective) {
   while (true) {
     CQCHASE_RETURN_IF_ERROR(PollControl());
     CQCHASE_RETURN_IF_ERROR(RunFdPhase());

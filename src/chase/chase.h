@@ -126,7 +126,8 @@ class Chase {
   // conjunct with level < `level` has had every applicable IND considered,
   // and no FD is applicable. Monotone and resumable. Returns the outcome
   // (kTruncated means "complete up to `level`, more beyond"; a limit hit
-  // yields kResourceExhausted status instead).
+  // yields kResourceExhausted status instead, and so does every later call:
+  // the prefix stays partial and consistent, but cannot be completed).
   Result<ChaseOutcome> ExpandToLevel(uint32_t level);
 
   // Runs to the configured limits.
@@ -214,6 +215,9 @@ class Chase {
   // was taken; false if no conjunct with level < `level` has an unconsidered
   // applicable IND.
   Result<bool> OneIndStep(uint32_t level);
+
+  // The fact-at-a-time IND loop under ChaseCoreMode::kScalar.
+  Result<ChaseOutcome> ScalarExpandToLevel(uint32_t effective);
 
   // True iff some alive conjunct at level < `level` still has an
   // unconsidered applicable IND.
@@ -339,6 +343,9 @@ class Chase {
   bool fd_index_dirty_ = true;
 
   ChaseOutcome outcome_ = ChaseOutcome::kTruncated;
+  // The first kResourceExhausted ExpandToLevel returned; replayed by every
+  // later call.
+  Status limit_status_ = Status::OK();
   bool initialized_ = false;
   uint64_t next_id_ = 0;
   ChaseStats stats_;

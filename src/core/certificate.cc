@@ -79,8 +79,9 @@ bool CertifiableSigma(const DependencySet& deps, const Catalog& catalog) {
          deps.IsKeyBased(catalog);
 }
 
-ContainmentCertificate ExtractCertificateFromChase(const Chase& chase,
-                                                   const Homomorphism& hom) {
+ContainmentCertificate ExtractCertificateFromChase(
+    const Chase& chase, const ChaseTargetIndex& index,
+    const Homomorphism& hom) {
   // Extract the image conjuncts and their ordinary-arc ancestors. The walk
   // is O(cone): ids are dense creation indices, so each parent hop is one
   // Chase::ConjunctById array lookup — no id map over the whole prefix,
@@ -89,12 +90,14 @@ ContainmentCertificate ExtractCertificateFromChase(const Chase& chase,
   // deeper than this witness needs. Parent pointers are merge-redirected by
   // the chase, so they resolve to the live ancestor; the columnar
   // SegmentStore (bulk core) supplies the dependency label per hop below.
-  std::vector<const ChaseConjunct*> alive = chase.AliveConjuncts();
-  std::set<uint64_t> needed;
+  const std::vector<uint64_t>& ids = index.ids();
+  std::set<uint64_t> seen;
+  std::vector<const ChaseConjunct*> cone;
   for (size_t fact_index : hom.conjunct_images) {
-    const ChaseConjunct* c = alive[fact_index];
+    const ChaseConjunct* c = chase.ConjunctById(ids[fact_index]);
     while (true) {
-      if (!needed.insert(c->id).second) break;
+      if (!seen.insert(c->id).second) break;
+      cone.push_back(c);
       if (!c->parent.has_value()) break;
       const ChaseConjunct* parent = chase.ConjunctById(*c->parent);
       if (parent == nullptr || !parent->alive) break;  // defensively stop
@@ -104,18 +107,25 @@ ContainmentCertificate ExtractCertificateFromChase(const Chase& chase,
 
   ContainmentCertificate cert;
   // Roots: every alive level-0 conjunct — this *is* chase_Σ[F](Q) (for
-  // IND-only Σ, Q itself).
+  // IND-only Σ, Q itself). The index is ordered by level, so they are its
+  // leading run.
   std::unordered_map<uint64_t, size_t> index_of_id;
-  for (const ChaseConjunct* c : alive) {
-    if (c->level != 0) continue;
+  for (uint64_t id : ids) {
+    const ChaseConjunct* c = chase.ConjunctById(id);
+    if (c->level != 0) break;
     index_of_id[c->id] = cert.roots.size();
     cert.roots.push_back(c->fact);
   }
   cert.summary = chase.summary();
-  // Steps: needed non-root conjuncts in creation order (parents precede
-  // children by construction).
-  for (const ChaseConjunct* c : alive) {
-    if (c->level == 0 || needed.count(c->id) == 0) continue;
+  // Steps: the cone's non-root conjuncts in index order, (level, id);
+  // parents precede children by construction.
+  std::sort(cone.begin(), cone.end(),
+            [](const ChaseConjunct* a, const ChaseConjunct* b) {
+              if (a->level != b->level) return a->level < b->level;
+              return a->id < b->id;
+            });
+  for (const ChaseConjunct* c : cone) {
+    if (c->level == 0) continue;
     DerivationStep step;
     // Dependency label: the segment edge that minted this conjunct (bulk
     // core), falling back to the per-conjunct record (scalar core). The two
@@ -131,7 +141,7 @@ ContainmentCertificate ExtractCertificateFromChase(const Chase& chase,
   cert.mapping = hom.mapping;
   cert.conjunct_images.reserve(hom.conjunct_images.size());
   for (size_t fact_index : hom.conjunct_images) {
-    cert.conjunct_images.push_back(index_of_id.at(alive[fact_index]->id));
+    cert.conjunct_images.push_back(index_of_id.at(ids[fact_index]));
   }
   return cert;
 }
@@ -160,6 +170,7 @@ Result<std::optional<ContainmentCertificate>> BuildCertificate(
                                             deps.size(), deps.MaxIndWidth());
 
   uint32_t level = 0;
+  ChaseTargetIndex index;
   std::optional<Homomorphism> hom;
   while (true) {
     CQCHASE_ASSIGN_OR_RETURN(ChaseOutcome outcome, chase.ExpandToLevel(level));
@@ -169,11 +180,8 @@ Result<std::optional<ContainmentCertificate>> BuildCertificate(
       return std::optional<ContainmentCertificate>(std::move(cert));
     }
     if (!q_prime.is_empty_query()) {
-      std::vector<const ChaseConjunct*> alive = chase.AliveConjuncts();
-      std::vector<Fact> facts;
-      facts.reserve(alive.size());
-      for (const ChaseConjunct* c : alive) facts.push_back(c->fact);
-      hom = FindHomomorphism(q_prime, facts, chase.summary());
+      index.Sync(chase);
+      hom = FindHomomorphism(q_prime, index.target(), chase.summary());
       if (hom.has_value()) break;
     }
     if (outcome == ChaseOutcome::kSaturated || level >= bound) {
@@ -187,7 +195,7 @@ Result<std::optional<ContainmentCertificate>> BuildCertificate(
   }
 
   return std::optional<ContainmentCertificate>(
-      ExtractCertificateFromChase(chase, *hom));
+      ExtractCertificateFromChase(chase, index, *hom));
 }
 
 Status VerifyCertificate(const ContainmentCertificate& certificate,

@@ -94,12 +94,13 @@ bool CertifiableSigma(const DependencySet& deps, const Catalog& catalog);
 
 // Extracts a certificate from a chase of Q that already yielded a witness
 // homomorphism Q' → chase (the decision's own chase — this is what lets the
-// engine return a proof without re-chasing). `hom.conjunct_images` must
-// index into `chase.AliveConjuncts()` (the order FindHomomorphism produced
-// it in). Roots are the chase's alive level-0 conjuncts, i.e. chase_Σ[F](Q);
-// the derivation keeps only the witness image's ancestor cone.
-ContainmentCertificate ExtractCertificateFromChase(const Chase& chase,
-                                                   const Homomorphism& hom);
+// engine return a proof without re-chasing). `hom` must have been found in
+// `index`, synced against `chase`: its conjunct_images are index positions.
+// Roots are the chase's alive level-0 conjuncts, i.e. chase_Σ[F](Q); the
+// derivation keeps only the witness image's ancestor cone.
+ContainmentCertificate ExtractCertificateFromChase(
+    const Chase& chase, const ChaseTargetIndex& index,
+    const Homomorphism& hom);
 
 // Decides Σ ⊨ Q ⊆∞ Q' and, when it holds, produces a certificate. Returns
 // nullopt when containment does not hold. Accepts the same Σ shapes as

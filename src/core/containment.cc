@@ -1,11 +1,65 @@
 #include "core/containment.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
 #include "engine/engine.h"
 
 namespace cqchase {
+
+namespace {
+
+// AliveConjuncts() order.
+bool LevelIdLess(const ChaseConjunct* a, const ChaseConjunct* b) {
+  if (a->level != b->level) return a->level < b->level;
+  return a->id < b->id;
+}
+
+}  // namespace
+
+void ChaseTargetIndex::Append(const ChaseConjunct& conjunct) {
+  target_.Add(conjunct.fact);
+  ids_.push_back(conjunct.id);
+}
+
+void ChaseTargetIndex::Sync(const Chase& chase) {
+  const std::vector<ChaseConjunct>& all = chase.conjuncts();
+  const uint64_t fd_merges = chase.chase_stats().fd_merges;
+  if (rebuilds_ != 0 && fd_merges == synced_fd_merges_ &&
+      !chase.is_empty_query()) {
+    std::vector<const ChaseConjunct*> minted;
+    for (size_t i = synced_conjuncts_; i < all.size(); ++i) {
+      if (all[i].alive) minted.push_back(&all[i]);
+    }
+    std::sort(minted.begin(), minted.end(), LevelIdLess);
+    if (minted.empty() || ids_.empty() ||
+        LevelIdLess(chase.ConjunctById(ids_.back()), minted.front())) {
+      for (const ChaseConjunct* c : minted) Append(*c);
+      synced_conjuncts_ = all.size();
+      return;
+    }
+  }
+  ++rebuilds_;
+  target_.Clear();
+  ids_.clear();
+  for (const ChaseConjunct* c : chase.AliveConjuncts()) Append(*c);
+  synced_conjuncts_ = all.size();
+  synced_fd_merges_ = fd_merges;
+}
+
+uint32_t ChaseTargetIndex::WitnessMaxLevel(const Chase& chase,
+                                           const Homomorphism& hom) const {
+  uint32_t max_level = 0;
+  for (size_t fi : hom.conjunct_images) {
+    max_level = std::max(max_level, chase.ConjunctById(ids_[fi])->level);
+  }
+  return max_level;
+}
+
+uint32_t ChaseTargetIndex::MaxLevel(const Chase& chase) const {
+  return ids_.empty() ? 0 : chase.ConjunctById(ids_.back())->level;
+}
 
 uint64_t Theorem2LevelBound(size_t q_prime_size, size_t sigma_size,
                             size_t max_width) {

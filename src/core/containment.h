@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "chase/chase.h"
 #include "core/homomorphism.h"
@@ -61,6 +62,51 @@ struct ContainmentReport {
   size_t chase_conjuncts = 0;
   uint32_t chase_levels = 0;
   ChaseOutcome chase_outcome = ChaseOutcome::kTruncated;
+};
+
+// The witness-search target of one chase, persistent across the deepening
+// loop: a TargetIndex over the chase's alive conjuncts, in
+// Chase::AliveConjuncts() order — ascending (level, id) — so witness images,
+// witness levels and certificates are exactly those a from-scratch search
+// over AliveConjuncts() finds. It lives as long as its chase (a shared
+// prefix keeps it next to the chase, under the same lock) and is only ever
+// synced against that one chase.
+//
+// Sync rule. Between FD merges a chase only appends conjuncts, and it mints
+// them in nondecreasing level (every core expands the minimum-level
+// frontier first), so the conjuncts minted since the last Sync sort after
+// every indexed one: Sync appends them in (level, id) order. An FD merge —
+// Chase::SubstituteTerm, which always follows ++fd_merges — rewrites facts,
+// kills duplicates and can lower a survivor's level, so Sync rebuilds from
+// AliveConjuncts() whenever chase_stats().fd_merges has moved. A constant
+// clash (the empty query, no alive conjunct) and a delta that would break
+// the order rebuild too; the latter cannot happen by the argument above.
+class ChaseTargetIndex {
+ public:
+  // Brings the index level with `chase`.
+  void Sync(const Chase& chase);
+
+  const TargetIndex& target() const { return target_; }
+  // Conjunct id per index position: a homomorphism image i is conjunct
+  // ids()[i].
+  const std::vector<uint64_t>& ids() const { return ids_; }
+  size_t size() const { return ids_.size(); }
+  // From-scratch builds so far (the first Sync counts).
+  size_t rebuilds() const { return rebuilds_; }
+
+  // Deepest chase level among the conjuncts `hom` maps onto.
+  uint32_t WitnessMaxLevel(const Chase& chase, const Homomorphism& hom) const;
+  // Deepest level indexed; equals chase.MaxAliveLevel() after a Sync.
+  uint32_t MaxLevel(const Chase& chase) const;
+
+ private:
+  void Append(const ChaseConjunct& conjunct);
+
+  TargetIndex target_;
+  std::vector<uint64_t> ids_;
+  size_t synced_conjuncts_ = 0;  // chase.conjuncts().size() at the last Sync
+  uint64_t synced_fd_merges_ = 0;
+  size_t rebuilds_ = 0;
 };
 
 // The Lemma 5 bound |Q'|·|Σ|·(W+1)^W, saturating at uint64 max.

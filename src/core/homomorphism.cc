@@ -8,29 +8,122 @@ namespace cqchase {
 
 namespace {
 
+// Murmur3's 64-bit finalizer: linear probing needs every key bit to reach
+// the low bits.
+uint64_t MixKey(RelationId relation, uint32_t column, Term term) {
+  uint64_t x = (static_cast<uint64_t>(relation) << 40) ^
+               (static_cast<uint64_t>(column) << 34) ^
+               (static_cast<uint64_t>(term.kind()) << 32) ^ term.id();
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+}  // namespace
+
+TargetIndex::TargetIndex(const std::vector<Fact>& facts) {
+  for (const Fact& f : facts) Add(f);
+}
+
+void TargetIndex::Append(Chain& chain, uint32_t fact) {
+  const uint32_t node = static_cast<uint32_t>(nodes_.size());
+  nodes_.push_back(Node{fact, kNil});
+  if (chain.size == 0) {
+    chain.head = node;
+  } else {
+    nodes_[chain.tail].next = node;
+  }
+  chain.tail = node;
+  ++chain.size;
+}
+
+size_t TargetIndex::Probe(RelationId relation, uint32_t column,
+                          Term term) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = MixKey(relation, column, term) & mask;
+  while (true) {
+    const Slot& slot = slots_[i];
+    if (slot.chain.size == 0 || (slot.relation == relation &&
+                                 slot.column == column && slot.term == term)) {
+      return i;
+    }
+    i = (i + 1) & mask;
+  }
+}
+
+void TargetIndex::GrowSlots() {
+  std::vector<Slot> old;
+  old.swap(slots_);
+  slots_.resize(old.empty() ? 64 : old.size() * 2);
+  for (const Slot& slot : old) {
+    if (slot.chain.size != 0) {
+      slots_[Probe(slot.relation, slot.column, slot.term)] = slot;
+    }
+  }
+}
+
+void TargetIndex::Add(const Fact& fact) {
+  const uint32_t id = static_cast<uint32_t>(relation_.size());
+  relation_.push_back(fact.relation);
+  terms_.insert(terms_.end(), fact.terms.begin(), fact.terms.end());
+  offset_.push_back(static_cast<uint32_t>(terms_.size()));
+  if (fact.relation >= by_relation_.size()) {
+    by_relation_.resize(fact.relation + 1);
+  }
+  Append(by_relation_[fact.relation], id);
+  // Positional posting lists: (relation, column, term) -> facts. These turn
+  // candidate enumeration for a pattern with any constant or already-bound
+  // variable from a relation scan into a lookup — the difference between
+  // minutes and milliseconds on 10^5-conjunct chase prefixes.
+  for (uint32_t col = 0; col < fact.terms.size(); ++col) {
+    // Keep the load factor at or below 3/4.
+    if (4 * (used_slots_ + 1) > 3 * slots_.size()) GrowSlots();
+    Slot& slot = slots_[Probe(fact.relation, col, fact.terms[col])];
+    if (slot.chain.size == 0) {
+      slot.relation = fact.relation;
+      slot.column = col;
+      slot.term = fact.terms[col];
+      ++used_slots_;
+    }
+    Append(slot.chain, id);
+  }
+}
+
+void TargetIndex::Clear() {
+  relation_.clear();
+  offset_.assign(1, 0);
+  terms_.clear();
+  nodes_.clear();
+  by_relation_.clear();
+  slots_.clear();
+  used_slots_ = 0;
+}
+
+TargetIndex::Postings TargetIndex::OfRelation(RelationId relation) const {
+  if (relation >= by_relation_.size()) return Postings();
+  return View(by_relation_[relation]);
+}
+
+TargetIndex::Postings TargetIndex::At(RelationId relation, uint32_t column,
+                                      Term term) const {
+  if (slots_.empty()) return Postings();
+  return View(slots_[Probe(relation, column, term)].chain);
+}
+
+namespace {
+
 class Solver {
  public:
-  Solver(const ConjunctiveQuery& source, const std::vector<Fact>& target_facts,
+  Solver(const ConjunctiveQuery& source, const TargetIndex& target,
          const std::vector<Term>& target_summary,
          const HomomorphismOptions& options)
       : source_(source),
-        target_facts_(target_facts),
+        target_(target),
         target_summary_(target_summary),
-        options_(options) {
-    by_relation_.resize(NumRelations());
-    for (size_t i = 0; i < target_facts_.size(); ++i) {
-      by_relation_[target_facts_[i].relation].push_back(i);
-      // Positional posting lists: (relation, column, term) -> facts. These
-      // turn candidate enumeration for a pattern with any constant or
-      // already-bound variable from a relation scan into a lookup — the
-      // difference between minutes and milliseconds on 10^5-conjunct chase
-      // prefixes.
-      const Fact& f = target_facts_[i];
-      for (uint32_t col = 0; col < f.terms.size(); ++col) {
-        positions_[PosKey{f.relation, col, f.terms[col]}].push_back(i);
-      }
-    }
-  }
+        options_(options) {}
 
   std::optional<Homomorphism> Run() {
     if (options_.injective) {
@@ -62,11 +155,6 @@ class Solver {
   }
 
  private:
-  size_t NumRelations() const {
-    size_t n = source_.catalog().num_relations();
-    return n;
-  }
-
   // Attempts to record t -> image; false on conflict (or non-injectivity in
   // injective mode). Constants only map to themselves.
   bool Bind(Term t, Term image) {
@@ -92,17 +180,17 @@ class Solver {
   }
 
   // Can the source conjunct map onto the target fact under current binding?
-  bool Compatible(const Fact& pattern, const Fact& fact) const {
-    if (pattern.relation != fact.relation ||
-        pattern.terms.size() != fact.terms.size()) {
+  bool Compatible(const Fact& pattern, uint32_t fact) const {
+    if (pattern.relation != target_.relation(fact) ||
+        pattern.terms.size() != target_.arity(fact)) {
       return false;
     }
     // Check constants and bound variables; also repeated variables within
     // the pattern must match equal target positions.
-    std::unordered_map<Term, Term> local;
+    const Term* terms = target_.terms(fact);
     for (size_t i = 0; i < pattern.terms.size(); ++i) {
       Term p = pattern.terms[i];
-      Term f = fact.terms[i];
+      Term f = terms[i];
       if (p.is_constant()) {
         if (p != f) return false;
         continue;
@@ -112,8 +200,9 @@ class Solver {
         if (bound->second != f) return false;
         continue;
       }
-      auto [it, inserted] = local.emplace(p, f);
-      if (!inserted && it->second != f) return false;
+      for (size_t j = 0; j < i; ++j) {
+        if (pattern.terms[j] == p && terms[j] != f) return false;
+      }
     }
     return true;
   }
@@ -122,8 +211,8 @@ class Solver {
   // smallest posting list over its constant / bound-variable positions, or
   // the whole relation when every position is a free variable. Entries
   // still need a Compatible() check.
-  const std::vector<size_t>& Candidates(const Fact& pattern) const {
-    const std::vector<size_t>* best = &by_relation_[pattern.relation];
+  TargetIndex::Postings Candidates(const Fact& pattern) const {
+    TargetIndex::Postings best = target_.OfRelation(pattern.relation);
     for (uint32_t col = 0; col < pattern.terms.size(); ++col) {
       Term p = pattern.terms[col];
       Term pinned = Term::Invalid();
@@ -134,11 +223,11 @@ class Solver {
         if (it != binding_.end()) pinned = it->second;
       }
       if (!pinned.is_valid()) continue;
-      auto lists = positions_.find(PosKey{pattern.relation, col, pinned});
-      if (lists == positions_.end()) return kEmptyList;
-      if (lists->second.size() < best->size()) best = &lists->second;
+      TargetIndex::Postings list = target_.At(pattern.relation, col, pinned);
+      if (list.empty()) return list;
+      if (list.size() < best.size()) best = list;
     }
-    return *best;
+    return best;
   }
 
   // Number of candidate target facts for the source conjunct, capped at
@@ -146,8 +235,8 @@ class Solver {
   size_t CountCandidates(size_t conjunct_index, size_t cap) const {
     const Fact& pattern = source_.conjuncts()[conjunct_index];
     size_t count = 0;
-    for (size_t fi : Candidates(pattern)) {
-      if (Compatible(pattern, target_facts_[fi])) {
+    for (uint32_t fi : Candidates(pattern)) {
+      if (Compatible(pattern, fi)) {
         if (++count >= cap) return count;
       }
     }
@@ -179,13 +268,13 @@ class Solver {
     assert(best != SIZE_MAX);
     const Fact& pattern = source_.conjuncts()[best];
     assigned_[best] = true;
-    for (size_t fi : Candidates(pattern)) {
-      const Fact& fact = target_facts_[fi];
-      if (!Compatible(pattern, fact)) continue;
+    for (uint32_t fi : Candidates(pattern)) {
+      if (!Compatible(pattern, fi)) continue;
+      const Term* terms = target_.terms(fi);
       size_t mark = trail_.size();
       bool ok = true;
       for (size_t i = 0; i < pattern.terms.size() && ok; ++i) {
-        ok = Bind(pattern.terms[i], fact.terms[i]);
+        ok = Bind(pattern.terms[i], terms[i]);
       }
       if (ok) {
         images_[best] = fi;
@@ -197,34 +286,11 @@ class Solver {
     return false;
   }
 
-  struct PosKey {
-    RelationId relation;
-    uint32_t column;
-    Term term;
-
-    friend bool operator==(const PosKey& a, const PosKey& b) {
-      return a.relation == b.relation && a.column == b.column &&
-             a.term == b.term;
-    }
-  };
-  struct PosKeyHash {
-    size_t operator()(const PosKey& k) const {
-      return HashCombine(
-          HashCombine(static_cast<size_t>(k.relation) + 0x9e3779b9,
-                      static_cast<size_t>(k.column)),
-          k.term.hash());
-    }
-  };
-
   const ConjunctiveQuery& source_;
-  const std::vector<Fact>& target_facts_;
+  const TargetIndex& target_;
   const std::vector<Term>& target_summary_;
   const HomomorphismOptions& options_;
 
-  static const std::vector<size_t> kEmptyList;
-
-  std::vector<std::vector<size_t>> by_relation_;
-  std::unordered_map<PosKey, std::vector<size_t>, PosKeyHash> positions_;
   std::unordered_map<Term, Term> binding_;
   std::unordered_set<Term> used_images_;
   std::vector<Term> trail_;
@@ -234,16 +300,23 @@ class Solver {
   bool exhausted_ = false;
 };
 
-const std::vector<size_t> Solver::kEmptyList;
-
 }  // namespace
+
+std::optional<Homomorphism> FindHomomorphism(
+    const ConjunctiveQuery& source, const TargetIndex& target,
+    const std::vector<Term>& target_summary,
+    const HomomorphismOptions& options) {
+  if (source.is_empty_query()) return std::nullopt;
+  return Solver(source, target, target_summary, options).Run();
+}
 
 std::optional<Homomorphism> FindHomomorphism(
     const ConjunctiveQuery& source, const std::vector<Fact>& target_facts,
     const std::vector<Term>& target_summary,
     const HomomorphismOptions& options) {
   if (source.is_empty_query()) return std::nullopt;
-  return Solver(source, target_facts, target_summary, options).Run();
+  return FindHomomorphism(source, TargetIndex(target_facts), target_summary,
+                          options);
 }
 
 std::optional<Homomorphism> FindQueryHomomorphism(

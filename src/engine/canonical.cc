@@ -15,7 +15,7 @@ namespace {
 // names containing quotes/commas/parentheses cannot splice into the
 // surrounding key syntax and collide two different constant sequences.
 std::string EncodeConstant(const SymbolTable& symbols, Term t) {
-  const std::string& name = symbols.Name(t);
+  const std::string name = symbols.Name(t);
   return StrCat("c", name.size(), "#", name);
 }
 

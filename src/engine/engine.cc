@@ -39,16 +39,6 @@ size_t ExecutorWidth(const EngineConfig& config) {
 
 namespace {
 
-// Levels of the chase facts actually used by a homomorphism's image.
-uint32_t WitnessMaxLevel(const Homomorphism& hom,
-                         const std::vector<const ChaseConjunct*>& alive) {
-  uint32_t max_level = 0;
-  for (size_t fi : hom.conjunct_images) {
-    if (fi < alive.size()) max_level = std::max(max_level, alive[fi]->level);
-  }
-  return max_level;
-}
-
 // Exact (term-identity) key of a query, for the chase-prefix cache: a chase
 // holds the query's actual terms, so only a byte-identical re-ask may resume
 // it. Contrast CanonicalQueryKey, which is renaming-invariant.
@@ -637,7 +627,9 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
                          &q.catalog() == catalog_;
   std::shared_ptr<SharedChase> shared;
   std::optional<Chase> local_chase;
+  ChaseTargetIndex local_index;
   Chase* chase_ptr = nullptr;
+  ChaseTargetIndex* index_ptr = &local_index;
   // Held for the whole decision loop when the chase is shared: a Chase is
   // not internally thread-safe, so concurrent askers of the same exact key
   // queue here and each extends the single shared prefix in turn. Askers of
@@ -654,15 +646,20 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
     const std::string chase_key =
         StrCat("V", static_cast<int>(options.variant), "|",
                CanonicalSigmaKey(deps), "|", ExactQueryKey(q));
+    std::vector<std::shared_ptr<SharedChase>> evicted;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (std::shared_ptr<SharedChase>* hit = chase_cache_.Get(chase_key)) {
         shared = *hit;
       } else {
         shared = std::make_shared<SharedChase>();
-        chase_cache_.Put(chase_key, shared);
+        evicted = chase_cache_.Put(chase_key, shared);
       }
     }
+    // An evicted prefix nobody else is extending dies here, outside mu_:
+    // freeing a whole chase under it would stall every request's Σ-cache
+    // lookup.
+    evicted.clear();
     shared_lock = std::unique_lock<std::mutex>(shared->mu);
     if (!shared->built) {
       // First asker through the entry lock builds the chase. The entry owns
@@ -688,6 +685,7 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
     // status to every asker instead of rebuilding just to re-fail.
     if (!shared->init_status.ok()) return shared->init_status;
     chase_ptr = shared->chase.get();
+    index_ptr = &shared->index;
   } else {
     // Uncached: the chase lives and dies in this call, directly on the
     // caller's Σ — no copies, matching the pre-engine cost profile.
@@ -700,6 +698,7 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
   }
 
   Chase& chase = *chase_ptr;
+  ChaseTargetIndex& index = *index_ptr;
   // This asker's cancellation/deadline applies for exactly this asker's
   // turn on the chase: attach now, detach before unlocking, so a shared
   // prefix never carries a dead asker's control into the next turn. A
@@ -737,17 +736,14 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
     // searches and the budget-exhaustion last chance below.
     auto search_witness = [&]() {
       if (q_prime.is_empty_query()) return false;
-      std::vector<const ChaseConjunct*> alive = chase.AliveConjuncts();
-      std::vector<Fact> facts;
-      facts.reserve(alive.size());
-      for (const ChaseConjunct* c : alive) facts.push_back(c->fact);
+      index.Sync(chase);
       std::optional<Homomorphism> hom =
-          FindHomomorphism(q_prime, facts, chase.summary());
+          FindHomomorphism(q_prime, index.target(), chase.summary());
       if (!hom.has_value()) return false;
-      report.chase_conjuncts = alive.size();
-      report.chase_levels = chase.MaxAliveLevel();
+      report.chase_conjuncts = index.size();
+      report.chase_levels = index.MaxLevel(chase);
       report.contained = true;
-      report.witness_max_level = WitnessMaxLevel(*hom, alive);
+      report.witness_max_level = index.WitnessMaxLevel(chase, *hom);
       report.witness = std::move(hom);
       return true;
     };
@@ -777,8 +773,9 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
       }
       ChaseOutcome outcome = *expanded;
       report.chase_outcome = outcome;
-      report.chase_conjuncts = chase.AliveConjuncts().size();
-      report.chase_levels = chase.MaxAliveLevel();
+      index.Sync(chase);
+      report.chase_conjuncts = index.size();
+      report.chase_levels = index.MaxLevel(chase);
 
       if (outcome == ChaseOutcome::kEmptyQuery) {
         // Q is unsatisfiable under Σ: Q(D) = ∅ for every Σ-database, so Q
@@ -821,7 +818,8 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
       cert.q_is_empty = true;
       *ctx.cert_out = std::move(cert);
     } else if (result->witness.has_value()) {
-      *ctx.cert_out = ExtractCertificateFromChase(chase, *result->witness);
+      *ctx.cert_out =
+          ExtractCertificateFromChase(chase, index, *result->witness);
     }
     if (ctx.cert_out->has_value()) Bump(stats_.certificates_built);
   }

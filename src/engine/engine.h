@@ -387,13 +387,16 @@ class ContainmentEngine {
   // entry owns a stable copy of Σ so the Chase's internal pointer outlives
   // any caller's DependencySet. Each asker attaches its own ChaseControl for
   // its turn and detaches before unlocking, so one asker's deadline or
-  // cancellation never aborts another's.
+  // cancellation never aborts another's. The chase's witness-search index
+  // lives beside it, so each asker resumes the search where the previous
+  // one left it too, and it dies with the chase.
   struct SharedChase {
     std::mutex mu;  // guards everything below
     bool built = false;
     Status init_status;
     std::unique_ptr<DependencySet> deps;
     std::unique_ptr<Chase> chase;
+    ChaseTargetIndex index;  // synced against *chase only
   };
 
   // Per-execution context threaded through the decision path: the request's

@@ -14,6 +14,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace cqchase {
 
@@ -33,20 +34,30 @@ class LruCache {
 
   // Inserts or overwrites `key`, marks it most-recently-used, and evicts
   // from the least-recently-used end until the capacity bound holds.
-  void Put(const std::string& key, Value value) {
-    if (capacity_ == 0) return;
+  // Returns every value the call displaced (evicted or overwritten; `value`
+  // itself under capacity 0), so a caller that holds a lock can let them
+  // die after releasing it — destroying a large value can take a while.
+  std::vector<Value> Put(const std::string& key, Value value) {
+    std::vector<Value> displaced;
+    if (capacity_ == 0) {
+      displaced.push_back(std::move(value));
+      return displaced;
+    }
     auto it = index_.find(key);
     if (it != index_.end()) {
+      displaced.push_back(std::move(it->second->second));
       it->second->second = std::move(value);
       recency_.splice(recency_.begin(), recency_, it->second);
-      return;
+      return displaced;
     }
     recency_.emplace_front(key, std::move(value));
     index_.emplace(key, recency_.begin());
     while (index_.size() > capacity_) {
       index_.erase(recency_.back().first);
+      displaced.push_back(std::move(recency_.back().second));
       recency_.pop_back();
     }
+    return displaced;
   }
 
   void Clear() {

@@ -22,6 +22,7 @@ SymbolTable& SymbolTable::operator=(SymbolTable&& other) noexcept {
     constant_index_ = std::move(other.constant_index_);
     dist_var_index_ = std::move(other.dist_var_index_);
     nondist_var_index_ = std::move(other.nondist_var_index_);
+    ndv_names_ = std::move(other.ndv_names_);
     fresh_counter_ = other.fresh_counter_;
     ndv_slabs_ = std::move(other.ndv_slabs_);
     ndv_limit_ = other.ndv_limit_;
@@ -35,6 +36,7 @@ SymbolTable& SymbolTable::operator=(SymbolTable&& other) noexcept {
     other.constant_index_.clear();
     other.dist_var_index_.clear();
     other.nondist_var_index_.clear();
+    other.ndv_names_.clear();
     other.fresh_counter_ = 0;
     other.ndv_slabs_.clear();
     other.ndv_limit_ = 0;
@@ -45,7 +47,7 @@ SymbolTable& SymbolTable::operator=(SymbolTable&& other) noexcept {
   return *this;
 }
 
-std::deque<SymbolTable::Entry>& SymbolTable::pool(TermKind kind) {
+std::deque<std::string>& SymbolTable::pool(TermKind kind) {
   switch (kind) {
     case TermKind::kConstant:
       return constants_;
@@ -58,7 +60,7 @@ std::deque<SymbolTable::Entry>& SymbolTable::pool(TermKind kind) {
   return dist_vars_;
 }
 
-const std::deque<SymbolTable::Entry>& SymbolTable::pool(TermKind kind) const {
+const std::deque<std::string>& SymbolTable::pool(TermKind kind) const {
   return const_cast<SymbolTable*>(this)->pool(kind);
 }
 
@@ -66,7 +68,7 @@ const std::deque<SymbolTable::Entry>& SymbolTable::pool(TermKind kind) const {
 
 void SymbolTable::EnsureNdvStorageLocked(uint32_t limit) {
   while (ndv_slabs_.size() * kNdvSlabSize < limit) {
-    ndv_slabs_.push_back(std::make_unique<Entry[]>(kNdvSlabSize));
+    ndv_slabs_.push_back(std::make_unique<NdvProvenance[]>(kNdvSlabSize));
   }
 }
 
@@ -104,9 +106,7 @@ Term SymbolTable::NdvShard::MakeChaseNdv(const NdvProvenance& provenance) {
   assert(table_ != nullptr);
   if (next_ == end_) Refill();
   const uint32_t id = next_++;
-  Entry& slot = static_cast<Entry*>(base_)[id - begin_];
-  slot.name = ChaseNdvName(id, provenance);
-  slot.provenance = provenance;
+  base_[id - begin_] = provenance;
   table_->ndv_count_.fetch_add(1, std::memory_order_relaxed);
   return Term(TermKind::kNondistVar, id);
 }
@@ -139,17 +139,25 @@ Term SymbolTable::Intern(TermKind kind, std::string_view name) {
   uint32_t id;
   if (kind == TermKind::kNondistVar) {
     id = ReserveSingleNdvLocked();
-    Entry* slot = NdvSlotLocked(id);
-    slot->name = std::string(name);
-    slot->provenance = std::nullopt;
+    assert(ndv_names_.empty() || ndv_names_.back().first < id);
+    ndv_names_.emplace_back(id, std::string(name));
     ndv_count_.fetch_add(1, std::memory_order_relaxed);
   } else {
     auto& p = pool(kind);
     id = static_cast<uint32_t>(p.size());
-    p.push_back(Entry{std::string(name), std::nullopt});
+    p.emplace_back(name);
   }
   index.emplace(std::string(name), id);
   return Term(kind, id);
+}
+
+const std::string* SymbolTable::InternedNdvNameLocked(uint32_t id) const {
+  auto it = std::lower_bound(
+      ndv_names_.begin(), ndv_names_.end(), id,
+      [](const std::pair<uint32_t, std::string>& entry, uint32_t key) {
+        return entry.first < key;
+      });
+  return it != ndv_names_.end() && it->first == id ? &it->second : nullptr;
 }
 
 Term SymbolTable::InternConstant(std::string_view name) {
@@ -170,11 +178,9 @@ Term SymbolTable::InternNondistVar(std::string_view name) {
 Term SymbolTable::MakeChaseNdv(const NdvProvenance& provenance) {
   std::lock_guard<std::mutex> lock(*mu_);
   const uint32_t id = ReserveSingleNdvLocked();
-  Entry* slot = NdvSlotLocked(id);
-  slot->name = ChaseNdvName(id, provenance);
-  slot->provenance = provenance;
+  *NdvSlotLocked(id) = provenance;
   ndv_count_.fetch_add(1, std::memory_order_relaxed);
-  nondist_var_index_.emplace(slot->name, id);
+  nondist_var_index_.emplace(ChaseNdvName(id, provenance), id);
   return Term(TermKind::kNondistVar, id);
 }
 
@@ -201,21 +207,20 @@ std::optional<Term> SymbolTable::Find(TermKind kind,
   return Term(kind, it->second);
 }
 
-const std::string& SymbolTable::Name(Term t) const {
+std::string SymbolTable::Name(Term t) const {
   std::lock_guard<std::mutex> lock(*mu_);
   if (t.kind() == TermKind::kNondistVar) {
     assert(t.id() < ndv_limit_);
-    // Safe to hand out without the lock: slab entries are written once by
-    // their owner and never moved.
-    return NdvSlotLocked(t.id())->name;
+    if (const std::string* name = InternedNdvNameLocked(t.id())) return *name;
+    return ChaseNdvName(t.id(), *NdvSlotLocked(t.id()));
   }
   const auto& p = pool(t.kind());
   assert(t.id() < p.size());
-  return p[t.id()].name;
+  return p[t.id()];
 }
 
 std::string SymbolTable::DisplayName(Term t) const {
-  const std::string& name = Name(t);
+  std::string name = Name(t);
   if (!t.is_constant()) return name;
   bool numeric = !name.empty();
   for (char c : name) {
@@ -229,14 +234,11 @@ std::string SymbolTable::DisplayName(Term t) const {
 }
 
 std::optional<NdvProvenance> SymbolTable::Provenance(Term t) const {
+  if (t.kind() != TermKind::kNondistVar) return std::nullopt;
   std::lock_guard<std::mutex> lock(*mu_);
-  if (t.kind() == TermKind::kNondistVar) {
-    assert(t.id() < ndv_limit_);
-    return NdvSlotLocked(t.id())->provenance;
-  }
-  const auto& p = pool(t.kind());
-  assert(t.id() < p.size());
-  return p[t.id()].provenance;
+  assert(t.id() < ndv_limit_);
+  if (InternedNdvNameLocked(t.id()) != nullptr) return std::nullopt;
+  return *NdvSlotLocked(t.id());
 }
 
 }  // namespace cqchase

@@ -6,6 +6,9 @@
 // The table also implements the paper's chase-NDV naming scheme: when the IND
 // chase rule introduces a fresh NDV, its identity encodes the attribute, the
 // source conjunct, the IND applied and the level of the created conjunct.
+// Minting records only that provenance (a 24-byte slot); the printable name,
+// e.g. "n17[A2,c5,i1,L3]", is composed from it whenever Name() is asked, so
+// the millions of NDVs a busy engine mints never allocate a string.
 //
 // NDV arena sharding. Chase steps are the hot path of every decision
 // procedure, and each IND step mints fresh NDVs. Rather than taking the
@@ -25,12 +28,13 @@
 // is whatever the thread schedule made it; verdicts are isomorphism-
 // invariant, so that cannot change an answer.
 //
-// NDV entries live in fixed-size slabs that never move once allocated, so
-// the references Name() hands out stay valid across later insertions, and a
-// shard can fill its reserved slots without touching any shared structure.
-// Shard-minted NDVs are *not* registered in the name index (that would need
-// the lock): Find() does not see them. Their names embed the id, so they
-// cannot collide with each other; they are fresh symbols nothing re-interns.
+// NDV provenance slots live in fixed-size slabs that never move once
+// allocated, so a shard can fill its reserved slots without touching any
+// shared structure. Interned NDVs (parsed or fresh-named ones) keep their
+// names in a side map; their slot is unused. Shard-minted NDVs are *not*
+// registered in the name index (that would need the lock): Find() does not
+// see them. Their names embed the id, so they cannot collide with each
+// other; they are fresh symbols nothing re-interns.
 #ifndef CQCHASE_SYMBOLS_SYMBOL_TABLE_H_
 #define CQCHASE_SYMBOLS_SYMBOL_TABLE_H_
 
@@ -70,8 +74,8 @@ struct NdvProvenance {
 class SymbolTable {
  public:
   // Ids are reserved in blocks of this many NDVs; slabs hold kNdvSlabSize
-  // entries. Block size divides slab size, so one block never straddles a
-  // slab boundary and a shard can cache a single raw Entry pointer.
+  // provenance slots. Block size divides slab size, so one block never
+  // straddles a slab boundary and a shard can cache a single slot pointer.
   static constexpr uint32_t kNdvBlockSize = 128;
   static constexpr uint32_t kNdvSlabSize = 1024;
 
@@ -96,11 +100,12 @@ class SymbolTable {
   Term InternDistVar(std::string_view name);
   Term InternNondistVar(std::string_view name);
 
-  // Creates a fresh NDV for the IND chase rule, taking the table mutex. The
-  // generated name encodes the provenance, e.g. "n17[A2,c5,i1,L3]". Chase
-  // hot loops should mint through an NdvShard instead; this convenience
-  // entry point serves the single-threaded artifact builders (EMVD chase,
-  // Theorem 3 constructions).
+  // Creates a fresh NDV for the IND chase rule, taking the table mutex. Its
+  // name encodes the provenance, e.g. "n17[A2,c5,i1,L3]", and — unlike a
+  // shard-minted NDV — is registered for Find(). Chase hot loops should
+  // mint through an NdvShard instead; this convenience entry point serves
+  // the single-threaded artifact builders (EMVD chase, Theorem 3
+  // constructions).
   Term MakeChaseNdv(const NdvProvenance& provenance);
 
   // Creates a fresh anonymous NDV (used by generators and by the Theorem 3
@@ -114,8 +119,9 @@ class SymbolTable {
   // minted NDVs are not indexed and therefore not found here.
   std::optional<Term> Find(TermKind kind, std::string_view name) const;
 
-  // Printable name of a term. Terms must belong to this table.
-  const std::string& Name(Term t) const;
+  // Printable name of a term. Terms must belong to this table. A chase
+  // NDV's name is composed from its provenance on each call.
+  std::string Name(Term t) const;
 
   // Rendering for query text that must re-parse: constants are quoted
   // ('acme') unless purely numeric (42); variables render as their names.
@@ -164,7 +170,7 @@ class SymbolTable {
     void ReturnRemainder();  // give [next_, end_) back (locks the table)
 
     SymbolTable* table_ = nullptr;
-    void* base_ = nullptr;  // Entry* of slot begin_; opaque to keep Entry private
+    NdvProvenance* base_ = nullptr;  // slot of id begin_
     uint32_t begin_ = 0;    // first id of the current block
     uint32_t next_ = 0;     // next id to mint
     uint32_t end_ = 0;      // one past the last reserved id
@@ -200,11 +206,6 @@ class SymbolTable {
  private:
   friend class NdvShard;
 
-  struct Entry {
-    std::string name;
-    std::optional<NdvProvenance> provenance;
-  };
-
   // A reserved-but-unconsumed id range, [begin, end); always within one
   // block (hence one slab).
   struct IdRange {
@@ -212,8 +213,8 @@ class SymbolTable {
     uint32_t end = 0;
   };
 
-  std::deque<Entry>& pool(TermKind kind);
-  const std::deque<Entry>& pool(TermKind kind) const;
+  std::deque<std::string>& pool(TermKind kind);
+  const std::deque<std::string>& pool(TermKind kind) const;
 
   Term Intern(TermKind kind, std::string_view name);
 
@@ -221,10 +222,10 @@ class SymbolTable {
 
   // Slot address of an NDV id. Safe to call without the lock only for ids
   // inside a range the caller owns (the slab pointer is cached by shards).
-  Entry* NdvSlotLocked(uint32_t id) {
+  NdvProvenance* NdvSlotLocked(uint32_t id) {
     return &ndv_slabs_[id / kNdvSlabSize][id % kNdvSlabSize];
   }
-  const Entry* NdvSlotLocked(uint32_t id) const {
+  const NdvProvenance* NdvSlotLocked(uint32_t id) const {
     return const_cast<SymbolTable*>(this)->NdvSlotLocked(id);
   }
 
@@ -252,16 +253,23 @@ class SymbolTable {
   // unique_ptr keeps the table movable (a mutex itself is not); the move
   // operations re-seat a fresh mutex in the source so it stays usable.
   std::unique_ptr<std::mutex> mu_;
-  std::deque<Entry> constants_;
-  std::deque<Entry> dist_vars_;
+  std::deque<std::string> constants_;
+  std::deque<std::string> dist_vars_;
   std::unordered_map<std::string, uint32_t> constant_index_;
   std::unordered_map<std::string, uint32_t> dist_var_index_;
   std::unordered_map<std::string, uint32_t> nondist_var_index_;
+  // Names of interned NDVs as (id, name), in ascending id order: every
+  // intern id comes from the table's own cursor block, reserved at the
+  // high-water mark, so ids only grow. An NDV id absent here is a chase
+  // NDV, named from its provenance slot.
+  std::vector<std::pair<uint32_t, std::string>> ndv_names_;
+  // The interned name of NDV `id`, or nullptr for a chase NDV.
+  const std::string* InternedNdvNameLocked(uint32_t id) const;
   uint64_t fresh_counter_ = 0;
 
-  // NDV arena: slabs never move or shrink; entries are written once by
-  // their id's owner and read-only afterwards.
-  std::vector<std::unique_ptr<Entry[]>> ndv_slabs_;
+  // NDV arena: slabs never move or shrink; slots are written once by their
+  // id's owner and read-only afterwards.
+  std::vector<std::unique_ptr<NdvProvenance[]>> ndv_slabs_;
   uint32_t ndv_limit_ = 0;  // high-water mark of block reservation
   IdRange intern_range_;    // the table's own single-id cursor
   uint64_t ndv_blocks_handed_out_ = 0;

@@ -452,7 +452,9 @@ struct ChainWorld {
       EXPECT_TRUE(full.AddInd(catalog, ab).ok());
       EXPECT_TRUE(full.AddInd(catalog, bc).ok());
       EXPECT_TRUE(edited.AddInd(catalog, ab).ok());
-      if (i != 0) EXPECT_TRUE(edited.AddInd(catalog, bc).ok());
+      if (i != 0) {
+        EXPECT_TRUE(edited.AddInd(catalog, bc).ok());
+      }
     }
     for (size_t i = 0; i < kChains; ++i) {
       lhs.push_back(*ParseQuery(catalog, symbols,

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -62,6 +63,9 @@ TEST(ShardConcurrencyTest, ParallelShardsMintDistinctReadableNdvs) {
     EXPECT_EQ(table.Provenance(minted[w][7])->attribute_index,
               static_cast<uint32_t>(w));
     EXPECT_EQ(table.Provenance(minted[w][7])->source_conjunct, 7u);
+    EXPECT_EQ(table.Name(minted[w][7]),
+              "n" + std::to_string(minted[w][7].id()) + "[A" +
+                  std::to_string(w) + ",c7,i0,L1]");
   }
   EXPECT_EQ(table.num_nondist_vars(),
             static_cast<size_t>(kThreads) * kPerThread);

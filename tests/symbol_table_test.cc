@@ -210,5 +210,64 @@ TEST(NdvShardTest, ShardMintsCoexistWithInterning) {
   EXPECT_EQ(t.Find(TermKind::kNondistVar, t.Name(minted)), std::nullopt);
 }
 
+// --- Name-free chase NDVs ----------------------------------------------------
+// Minting stores only the provenance; names are composed on demand and must
+// read exactly as the eager "n<id>[A<col>,c<conjunct>,i<ind>,L<level>]".
+
+TEST(NdvNamingTest, ShardMintedNameEqualsTheEagerString) {
+  SymbolTable t;
+  t.InternNondistVar("before");  // ids need not start at 0
+  SymbolTable::NdvShard shard = t.CreateShard();
+  Term n = shard.MakeChaseNdv(NdvProvenance{/*attribute_index=*/2,
+                                            /*source_conjunct=*/5,
+                                            /*ind_index=*/1, /*level=*/3});
+  EXPECT_EQ(t.Name(n), "n" + std::to_string(n.id()) + "[A2,c5,i1,L3]");
+  EXPECT_EQ(t.DisplayName(n), t.Name(n));
+  Term big = shard.MakeChaseNdv(NdvProvenance{0, 123456789012ull, 7, 40});
+  EXPECT_EQ(t.Name(big),
+            "n" + std::to_string(big.id()) + "[A0,c123456789012,i7,L40]");
+}
+
+TEST(NdvNamingTest, InternedNdvsKeepNamesLookupsAndNoProvenance) {
+  SymbolTable t;
+  Term y = t.InternNondistVar("y");
+  SymbolTable::NdvShard shard = t.CreateShard();
+  Term minted = shard.MakeChaseNdv(NdvProvenance{1, 2, 3, 4});
+  Term fresh = t.MakeFreshNondistVar("z");
+  Term looks_minted = t.InternNondistVar("n0[A0,c0,i0,L0]");
+  for (Term interned : {y, fresh, looks_minted}) {
+    EXPECT_FALSE(t.Provenance(interned).has_value());
+    EXPECT_EQ(t.Find(TermKind::kNondistVar, t.Name(interned)), interned);
+  }
+  EXPECT_EQ(t.Name(y), "y");
+  EXPECT_EQ(t.Name(looks_minted), "n0[A0,c0,i0,L0]");
+  EXPECT_EQ(t.InternNondistVar("y"), y);
+  ASSERT_TRUE(t.Provenance(minted).has_value());
+  EXPECT_EQ(t.Provenance(minted)->level, 4u);
+}
+
+TEST(NdvNamingTest, LockedChaseNdvIsFindableByItsComposedName) {
+  SymbolTable t;
+  Term n = t.MakeChaseNdv(NdvProvenance{/*attribute_index=*/1,
+                                        /*source_conjunct=*/9,
+                                        /*ind_index=*/0, /*level=*/2});
+  EXPECT_EQ(t.Name(n), "n" + std::to_string(n.id()) + "[A1,c9,i0,L2]");
+  EXPECT_EQ(t.Find(TermKind::kNondistVar, t.Name(n)), n);
+  ASSERT_TRUE(t.Provenance(n).has_value());
+  EXPECT_EQ(t.Provenance(n)->source_conjunct, 9u);
+}
+
+TEST(NdvNamingTest, NamesSurviveATableMove) {
+  SymbolTable t;
+  Term y = t.InternNondistVar("y");
+  Term n = t.MakeChaseNdv(NdvProvenance{0, 1, 0, 1});
+  const std::string n_name = t.Name(n);
+  SymbolTable moved = std::move(t);
+  EXPECT_EQ(moved.Name(y), "y");
+  EXPECT_EQ(moved.Name(n), n_name);
+  EXPECT_FALSE(moved.Provenance(y).has_value());
+  EXPECT_TRUE(moved.Provenance(n).has_value());
+}
+
 }  // namespace
 }  // namespace cqchase
